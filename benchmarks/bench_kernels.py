@@ -14,10 +14,11 @@ standalone::
         [--designs C1,...,C10] [--scale 0.3] [--repeats 5]
         [--check-against benchmarks/BENCH_kernels.json] [--service]
 
-``--check-against`` compares per-kernel medians to a committed baseline
-and exits non-zero when any kernel got more than 25 % slower — the CI
-perf-smoke contract.  ``--service`` also regenerates
-``BENCH_service.json`` through :mod:`benchmarks.bench_service`.
+``--check-against`` compares per-kernel oracle-relative speedups to a
+committed baseline and exits non-zero when any dropped below baseline ÷
+``REGRESSION_TOLERANCE`` — the CI perf-smoke contract.  ``--service``
+also regenerates ``BENCH_service.json`` through
+:mod:`benchmarks.bench_service`.
 """
 
 from __future__ import annotations
@@ -81,7 +82,16 @@ def _stats(samples: list[float]) -> dict[str, float]:
     }
 
 
-def _pair(oracle_samples, kernel_samples) -> dict[str, object]:
+def _pair(
+    repeats: int, oracle, kernel, oracle_setup=None, kernel_setup=None
+) -> dict[str, object]:
+    """Time *oracle* against *kernel*, one sample of each in turn, so
+    host speed drifting during the run moves both sides alike."""
+    oracle_samples: list[float] = []
+    kernel_samples: list[float] = []
+    for _ in range(repeats):
+        oracle_samples += _samples(oracle, 1, oracle_setup)
+        kernel_samples += _samples(kernel, 1, kernel_setup)
     o, k = _stats(oracle_samples), _stats(kernel_samples)
     return {
         "oracle": o,
@@ -123,38 +133,34 @@ def bench_kernels(repeats: int, quick: bool) -> dict[str, object]:
 
     # CP/Δ sweep
     report["delta_sweep"] = _pair(
-        _samples(lambda: compute_delta(graph, zero_d), repeats),
-        _samples(lambda: kernels.delta_sweep(cg, zero), repeats),
+        repeats,
+        lambda: compute_delta(graph, zero_d),
+        lambda: kernels.delta_sweep(cg, zero),
     )
 
     # lazy feasibility at the achievable period
     phi = _min_period_dict(graph, None, 1e-6).phi
     report["check_period"] = _pair(
-        _samples(
-            lambda s: _check_period_dict(graph, phi, s),
-            repeats,
-            setup=lambda: base_system(graph),
-        ),
-        _samples(
-            lambda s: _check_period_kernel(graph, phi, s),
-            repeats,
-            setup=lambda: base_system(graph),
-        ),
+        repeats,
+        lambda s: _check_period_dict(graph, phi, s),
+        lambda s: _check_period_kernel(graph, phi, s),
+        oracle_setup=lambda: base_system(graph),
+        kernel_setup=lambda: base_system(graph),
     )
 
     # the min-period binary-search loop
     report["min_period"] = _pair(
-        _samples(lambda: _min_period_dict(graph, None, 1e-6), repeats),
-        _samples(lambda: kernels.min_period_kernel(graph, None, 1e-6), repeats),
+        repeats,
+        lambda: _min_period_dict(graph, None, 1e-6),
+        lambda: kernels.min_period_kernel(graph, None, 1e-6),
     )
 
     # min-area at that period
     model = build_sharing_model(graph)
     report["min_area"] = _pair(
-        _samples(lambda: _min_area_dict(graph, phi, None, model), repeats),
-        _samples(
-            lambda: kernels.min_area_kernel(graph, phi, None, model), repeats
-        ),
+        repeats,
+        lambda: _min_area_dict(graph, phi, None, model),
+        lambda: kernels.min_area_kernel(graph, phi, None, model),
     )
 
     # one LP solve (difference system + min-cost flow dual)
@@ -165,22 +171,19 @@ def bench_kernels(repeats: int, quick: bool) -> dict[str, object]:
     for name, c in model.cost.items():
         supply[ecg.index[name]] = -c
     report["lp_solve"] = _pair(
-        _samples(lambda: dict_lp(esystem, model), repeats),
-        _samples(
-            lambda cs: kernel_lp(cs, supply),
-            repeats,
-            setup=lambda: kernels.CompiledSystem.from_system(esystem, ecg),
-        ),
+        repeats,
+        lambda: dict_lp(esystem, model),
+        lambda cs: kernel_lp(cs, supply),
+        kernel_setup=lambda: kernels.CompiledSystem.from_system(esystem, ecg),
     )
 
     # STA (full) and the incremental what-if update
     design = "C1" if quick else "C5"
     circuit = baseline_flow(build_design(design, 0.3).circuit).circuit
     report["sta"] = _pair(
-        _samples(lambda: _analyze_dict(circuit, XC4000E_DELAY), repeats),
-        _samples(
-            lambda: kernels.analyze_kernel(circuit, XC4000E_DELAY), repeats
-        ),
+        repeats,
+        lambda: _analyze_dict(circuit, XC4000E_DELAY),
+        lambda: kernels.analyze_kernel(circuit, XC4000E_DELAY),
     )
     sta = kernels.CompiledSTA(circuit, XC4000E_DELAY)
     sta.full_sweep()
@@ -192,8 +195,7 @@ def bench_kernels(repeats: int, quick: bool) -> dict[str, object]:
         sta.update({some_q: XC4000E_DELAY.clock_to_q + flip[0]})
 
     report["sta_incremental"] = _pair(
-        _samples(lambda: _analyze_dict(circuit, XC4000E_DELAY), repeats),
-        _samples(_update, repeats),
+        repeats, lambda: _analyze_dict(circuit, XC4000E_DELAY), _update
     )
 
     # BLIF parse micro-bench (regex precompile + joined continuations)
@@ -285,6 +287,7 @@ def run_bench(
             "designs": designs,
             "python": platform.python_version(),
             "numpy": kernels.HAVE_NUMPY,
+            "cpu_count": os.cpu_count(),
         },
         "kernels": bench_kernels(repeats, quick),
         "end_to_end": bench_end_to_end(designs, scale, 2 if quick else 5),
@@ -385,7 +388,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check-against",
         type=Path,
-        help="baseline BENCH_kernels.json; exit 1 on a >25%% regression",
+        help="baseline BENCH_kernels.json; exit 1 when a speedup fell "
+        "below baseline / REGRESSION_TOLERANCE",
     )
     parser.add_argument(
         "--service",

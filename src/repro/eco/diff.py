@@ -232,10 +232,8 @@ def apply_edit_script(circuit: Circuit, ops: list[dict]) -> Circuit:
             if "aval" in op:
                 reg.aval = int(op["aval"])
         elif kind == "set_control":
-            reg = work.registers[op["name"]]
-            for pin in ("en", "sr", "ar"):
-                if pin in op:
-                    setattr(reg, pin, op[pin])
+            pins = {pin: op[pin] for pin in ("en", "sr", "ar") if pin in op}
+            work.set_register_pins(work.registers[op["name"]], **pins)
         elif kind == "add_gate":
             work.add_gate(
                 _fn_of(op["fn"]),

@@ -31,18 +31,65 @@ def min_area_kernel(
     phi: float,
     bounds: dict[str, tuple[int, int]] | None,
     model,
+    capture: dict | None = None,
 ):
     """Minimum-area retiming achieving period ≤ *phi* (kernel path).
 
     *model* is a prepared :class:`~repro.retime.sharing_model.
     SharingModel`; returns an ``AreaResult`` identical to the dict
     engine's.  Raises ``InfeasibleError`` when *phi* is infeasible.
+    When *capture* is given, the final round's solved flow, system and
+    full (mirror-inclusive) lag vector are left in it — see
+    :func:`_solve_lp` — together with ``"base_tags"`` and ``"rounds"``.
     """
-    from ..retime.constraints import InfeasibleError
     from ..retime.feas import compute_delta
     from ..retime.minarea import AreaResult
-    from ..retime.minperiod import base_system
     from ..retime.sharing_model import shared_register_count
+
+    cg, csys, supply, base_tags = _setup(model, bounds)
+    with obs.span("minarea.solve", phi=phi, engine="kernel") as span:
+        best, rounds = _lazy_rounds(
+            graph, phi, cg, csys, supply, base_tags, capture
+        )
+        obs.count("minarea.rounds", rounds)
+        span.set(rounds=rounds)
+
+    index = csys.index
+    real_r = {v: best[index[v]] for v in graph.vertices}
+    period = compute_delta(graph, real_r).period
+    return AreaResult(
+        r=real_r,
+        registers=shared_register_count(graph, real_r),
+        registers_before=shared_register_count(graph),
+        period=period,
+        rounds=rounds,
+        constraints=len(csys),
+    )
+
+
+def min_area_flow(
+    graph: RetimingGraph,
+    phi: float,
+    bounds: dict[str, tuple[int, int]] | None,
+    model,
+) -> dict:
+    """The capture of :func:`min_area_kernel` alone, for a caller whose
+    solve ran elsewhere (the dict engine).
+
+    Runs outside the ``minarea.solve`` span and leaves ``minarea.rounds``
+    alone, so a trace still shows one min-area solve per engine call.
+    """
+    cg, csys, supply, base_tags = _setup(model, bounds)
+    capture: dict = {}
+    _lazy_rounds(graph, phi, cg, csys, supply, base_tags, capture)
+    return capture
+
+
+def _setup(model, bounds):
+    """Compiled graph, base system, supply vector and base-constraint
+    tags for a min-area solve over *model*'s extended graph."""
+    from ..retime.constraints import InfeasibleError
+    from ..retime.minperiod import base_system
 
     extended = model.graph
     cg = compile_graph(extended)
@@ -60,59 +107,50 @@ def min_area_kernel(
         if i is None:
             raise InfeasibleError(f"cost on unconstrained vertex {name!r}")
         supply[i] = -c
+    return cg, csys, supply, base_tags
 
+
+def _lazy_rounds(
+    graph: RetimingGraph,
+    phi: float,
+    cg,
+    csys: CompiledSystem,
+    supply: list[int],
+    base_tags: dict,
+    capture: dict | None,
+) -> tuple[list[int], int]:
+    """The lazy LP loop; returns (solution, rounds used)."""
     n = cg.n
     is_mirror = cg.is_mirror
-    best: list[int] | None = None
-    rounds = 0
-    with obs.span("minarea.solve", phi=phi, engine="kernel") as span:
-        for rounds in range(1, MAX_LAZY_ROUNDS + 1):
-            r = _solve_lp(csys, supply)
-            if r is None:
-                raise _infeasible(graph, phi, csys, base_tags)
-            violations = csys.violated(r)
-            if violations:  # numerical/duality bug guard: never expected
-                names = csys.names
-                shown = [
-                    (names[u], names[v], b) for u, v, b in violations[:3]
-                ]
-                raise RuntimeError(f"LP solution violates {shown}")
-            sweep = delta_sweep(cg, r[:n])
-            delta = sweep.delta
-            added = False
-            limit = phi + EPS
-            # dict-engine constraint order: topo order.  topo_order()
-            # rather than .order — the latter is None on refreshed
-            # sweeps, and this loop must stay safe if the sweep above
-            # ever becomes incremental.
-            for v in sweep.topo_order(cg):
-                if delta[v] <= limit or is_mirror[v]:
-                    continue
-                u = sweep.trace_start(v)
-                bound = r[u] - r[v] - 1
-                if csys.add(u, v, bound):
-                    added = True
-            if not added:
-                best = r
-                break
-        if best is None:
-            raise RuntimeError(
-                "lazy period-constraint generation did not converge"
-            )
-        obs.count("minarea.rounds", rounds)
-        span.set(rounds=rounds)
-
-    index = csys.index
-    real_r = {v: best[index[v]] for v in graph.vertices}
-    period = compute_delta(graph, real_r).period
-    return AreaResult(
-        r=real_r,
-        registers=shared_register_count(graph, real_r),
-        registers_before=shared_register_count(graph),
-        period=period,
-        rounds=rounds,
-        constraints=len(csys),
-    )
+    for rounds in range(1, MAX_LAZY_ROUNDS + 1):
+        r = _solve_lp(csys, supply, capture)
+        if r is None:
+            raise _infeasible(graph, phi, csys, base_tags)
+        violations = csys.violated(r)
+        if violations:  # numerical/duality bug guard: never expected
+            names = csys.names
+            shown = [(names[u], names[v], b) for u, v, b in violations[:3]]
+            raise RuntimeError(f"LP solution violates {shown}")
+        sweep = delta_sweep(cg, r[:n])
+        delta = sweep.delta
+        added = False
+        limit = phi + EPS
+        # dict-engine constraint order: topo order.  topo_order()
+        # rather than .order — the latter is None on refreshed sweeps,
+        # and this loop must stay safe if the sweep above ever becomes
+        # incremental.
+        for v in sweep.topo_order(cg):
+            if delta[v] <= limit or is_mirror[v]:
+                continue
+            u = sweep.trace_start(v)
+            bound = r[u] - r[v] - 1
+            if csys.add(u, v, bound):
+                added = True
+        if not added:
+            if capture is not None:
+                capture.update(base_tags=base_tags, rounds=rounds)
+            return r, rounds
+    raise RuntimeError("lazy period-constraint generation did not converge")
 
 
 def _infeasible(graph, phi, csys: CompiledSystem, base_tags: dict):
@@ -132,8 +170,17 @@ def _infeasible(graph, phi, csys: CompiledSystem, base_tags: dict):
     )
 
 
-def _solve_lp(csys: CompiledSystem, supply: list[int]) -> list[int] | None:
-    """One LP solve: min Σ c·r subject to *csys*; None if infeasible."""
+def _solve_lp(
+    csys: CompiledSystem, supply: list[int], capture: dict | None = None
+) -> list[int] | None:
+    """One LP solve: min Σ c·r subject to *csys*; None if infeasible.
+
+    When *capture* is given, the solved flow (arc slot ``2·i`` is
+    constraint ``i`` of *csys*) and the host-normalised lag vector are
+    left in it under ``"flow"`` / ``"r"``, and *csys* under ``"csys"``
+    — the raw material of min-area dual attribution
+    (:func:`repro.obs.explain.area_attribution`).
+    """
     dist = csys.solve()
     if dist is None:
         return None
@@ -149,4 +196,6 @@ def _solve_lp(csys: CompiledSystem, supply: list[int]) -> list[int] | None:
     shift = r[csys.host] if csys.host >= 0 else 0
     if shift:
         r = [val - shift for val in r]
+    if capture is not None:
+        capture.update(flow=flow, r=r, csys=csys)
     return r

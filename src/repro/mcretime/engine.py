@@ -179,6 +179,7 @@ def mc_retime(
     timings.setdefault("minperiod", 0.0)
     timings.setdefault("minarea", 0.0)
     timings.setdefault("relocate", 0.0)
+    area_capture = None
 
     while True:
         with obs.timed("engine.minperiod", attempt=attempts) as sp:
@@ -191,8 +192,15 @@ def mc_retime(
 
         with obs.timed("engine.minarea", phi=phi) as sp:
             if objective == "minarea":
+                # explain reads the final flow from here instead of
+                # solving min-area again
+                area_capture = {} if explain else None
                 area = min_area(
-                    work_graph, phi, work_bounds, use_kernels=use_kernels
+                    work_graph,
+                    phi,
+                    work_bounds,
+                    use_kernels=use_kernels,
+                    capture=area_capture,
                 )
                 r = area.r
                 area_registers = area.registers
@@ -277,6 +285,7 @@ def mc_retime(
                 objective,
                 target_period=target_period,
                 design=circuit.name,
+                area_capture=area_capture or None,
             )
         timings["explain"] = sp.duration
 

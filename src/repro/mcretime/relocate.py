@@ -147,6 +147,8 @@ def relocate(
             )
 
     merge_shareable_registers(work, classifier, requirements)
+    # the returned circuit outlives its edits; drop their reader index
+    work._invalidate()
 
     return RelocationResult(
         circuit=work,
@@ -290,9 +292,9 @@ def _try_backward(
             sval=TX,
             aval=TX,
         )
-    for i, net in enumerate(gate.inputs):
-        if not is_const(net):
-            gate.inputs[i] = new_regs[net].q
+    work.set_gate_inputs(
+        gate, [net if is_const(net) else new_regs[net].q for net in gate.inputs]
+    )
     for reg in removed:
         work.remove_register(reg.name)
         work.replace_net(reg.q, out_net)
@@ -640,9 +642,9 @@ def _try_forward(
 
     template = next(iter(drivers.values()))
     # bypass the source registers at this gate's pins
-    for i, net in enumerate(gate.inputs):
-        if not is_const(net):
-            gate.inputs[i] = drivers[net].d
+    work.set_gate_inputs(
+        gate, [net if is_const(net) else drivers[net].d for net in gate.inputs]
+    )
     # drop sources that became unobservable
     for reg in drivers.values():
         if reg.name in work.registers and not work.readers(reg.q):

@@ -8,14 +8,18 @@ Design notes
 ------------
 * Nets are strings.  Each net has at most one driver: a primary input, a
   gate output, a register Q, or one of the two constant nets.
-* The container maintains a driver index incrementally; fanout (reader)
-  indexes are computed on demand and cached until the next mutation.
+* The container maintains a driver index incrementally.  The fanout
+  (reader) index is built on first use and then patched by every
+  mutation method in O(fanout), so net substitution stays cheap on large
+  netlists.  Pins are therefore edited through :meth:`Circuit.
+  set_gate_inputs` / :meth:`Circuit.set_register_pins`, not in place.
 * Registers never participate in combinational topological order: their
   Q pins act as sources and their D/control pins as sinks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Iterator
 
 from .cells import Gate, GateFn, Port, Register
@@ -45,6 +49,11 @@ class Circuit:
         self.registers: dict[str, Register] = {}
         self._driver: dict[str, tuple[str, str]] = {}  # net -> (kind, cell/port name)
         self._readers_cache: dict[str, list[tuple[str, str, int]]] | None = None
+        #: cell name -> position in its dict, built at the first patch of
+        #: the cache; sorts reader entries into the order a fresh rebuild
+        #: gives
+        self._rank: dict[str, int] | None = None
+        self._next_rank = 0
         self.namer = NetNamer()
         self.namer.claim(CONST0)
         self.namer.claim(CONST1)
@@ -59,14 +68,16 @@ class Circuit:
         self.inputs.append(name)
         self._driver[name] = ("input", name)
         self.namer.claim(name)
-        self._invalidate()
         return name
 
     def add_output(self, net: str) -> str:
         """Declare *net* as a primary output (it must be driven by someone)."""
         self.outputs.append(net)
         self.namer.claim(net)
-        self._invalidate()
+        readers = self._readers_cache
+        if readers is not None:
+            entry = ("output", net, len(self.outputs) - 1)
+            readers[net] = readers.get(net, []) + [entry]
         return net
 
     def add_gate(
@@ -93,7 +104,7 @@ class Circuit:
         gate = Gate(name, fn, list(inputs), output, table)
         self.gates[name] = gate
         self._driver[output] = ("gate", name)
-        self._invalidate()
+        self._link("gate", gate, new=True)
         return gate
 
     def add_register(
@@ -124,7 +135,7 @@ class Circuit:
         reg = Register(name, d, q, clk, en=en, sr=sr, ar=ar, sval=sval, aval=aval)
         self.registers[name] = reg
         self._driver[q] = ("register", name)
-        self._invalidate()
+        self._link("register", reg, new=True)
         return reg
 
     def new_net(self, prefix: str = "n") -> str:
@@ -136,16 +147,22 @@ class Circuit:
 
     def remove_gate(self, name: str) -> Gate:
         """Delete a gate; its output net becomes undriven."""
-        gate = self.gates.pop(name)
+        gate = self.gates[name]
+        self._unlink("gate", gate)
+        del self.gates[name]
         del self._driver[gate.output]
-        self._invalidate()
+        if self._rank is not None:
+            self._rank.pop(name, None)
         return gate
 
     def remove_register(self, name: str) -> Register:
         """Delete a register; its Q net becomes undriven."""
-        reg = self.registers.pop(name)
+        reg = self.registers[name]
+        self._unlink("register", reg)
+        del self.registers[name]
         del self._driver[reg.q]
-        self._invalidate()
+        if self._rank is not None:
+            self._rank.pop(name, None)
         return reg
 
     def rewire_gate_output(self, gate: Gate, new_output: str) -> None:
@@ -156,37 +173,56 @@ class Circuit:
         gate.output = new_output
         self.namer.claim(new_output)
         self._driver[new_output] = ("gate", gate.name)
-        self._invalidate()
 
     def replace_net(self, old: str, new: str) -> int:
         """Substitute every *use* of net ``old`` by ``new``.
 
         The driver of ``old`` is untouched; returns the number of pins
-        rewritten (including output-port uses).
+        rewritten (including output-port uses).  Costs O(fanout of
+        ``old`` and ``new``) once the reader index exists.
         """
-        count = 0
-        for gate in self.gates.values():
-            for i, net in enumerate(gate.inputs):
-                if net == old:
-                    gate.inputs[i] = new
-                    count += 1
-        for reg in self.registers.values():
-            if reg.d == old:
-                reg.d = new
-                count += 1
-            if reg.clk == old:
-                reg.clk = new
-                count += 1
-            for attr in ("en", "sr", "ar"):
-                if getattr(reg, attr) == old:
-                    setattr(reg, attr, new)
-                    count += 1
-        for i, net in enumerate(self.outputs):
-            if net == old:
-                self.outputs[i] = new
-                count += 1
-        self._invalidate()
-        return count
+        readers = self._readers()
+        if old == new:
+            return len(readers.get(old, ()))
+        moved = readers.pop(old, [])
+        if not moved:
+            return 0
+        rewritten = []
+        for entry in moved:
+            kind, name, pin = entry
+            if kind == "gate":
+                self.gates[name].inputs[pin] = new
+            elif kind == "register":
+                setattr(self.registers[name], _REGISTER_PINS[pin], new)
+            else:
+                self.outputs[pin] = new
+                entry = ("output", new, pin)
+            rewritten.append(entry)
+        existing = readers.get(new)
+        if existing:
+            key = self._reader_key
+            merged = existing.copy()
+            for entry in rewritten:
+                merged.insert(bisect_right(merged, key(entry), key=key), entry)
+            rewritten = merged
+        readers[new] = rewritten
+        return len(moved)
+
+    def set_gate_inputs(self, gate: Gate, inputs: Iterable[str]) -> None:
+        """Rewire *gate*'s input pins to *inputs*."""
+        self._unlink("gate", gate)
+        gate.inputs = list(inputs)
+        self._link("gate", gate)
+
+    def set_register_pins(self, reg: Register, **pins: str | None) -> None:
+        """Rewire *reg*'s ``d``/``clk``/``en``/``sr``/``ar`` pins."""
+        unknown = set(pins) - set(_REGISTER_PINS)
+        if unknown:
+            raise ValueError(f"unknown register pins {sorted(unknown)}")
+        self._unlink("register", reg)
+        for attr, net in pins.items():
+            setattr(reg, attr, net)
+        self._link("register", reg)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -231,14 +267,67 @@ class Circuit:
                 for i, net in enumerate(gate.inputs):
                     readers.setdefault(net, []).append(("gate", gate.name, i))
             for reg in self.registers.values():
-                pins = [reg.d, reg.clk, reg.en, reg.sr, reg.ar]
-                for i, net in enumerate(pins):
+                for i, net in enumerate(_register_pins(reg)):
                     if net is not None:
                         readers.setdefault(net, []).append(("register", reg.name, i))
             for i, net in enumerate(self.outputs):
                 readers.setdefault(net, []).append(("output", net, i))
             self._readers_cache = readers
         return self._readers_cache
+
+    def _reader_key(self, entry: tuple[str, str, int]) -> tuple[int, int, int]:
+        """Position of a reader entry in a freshly built list."""
+        kind, name, pin = entry
+        if kind == "output":
+            return (2, pin, 0)
+        rank = self._rank
+        if rank is None:
+            # dict order is insertion order and removals keep it, so
+            # positions now sort like positions at the index's build
+            cells = [*self.gates, *self.registers]
+            rank = self._rank = {cell: i for i, cell in enumerate(cells)}
+            self._next_rank = len(cells)
+        return (0 if kind == "gate" else 1, rank[name], pin)
+
+    # Patches replace a net's list instead of editing it, so a list that
+    # readers() handed out earlier is never changed under its holder.
+
+    def _link(self, kind: str, cell: Gate | Register, new: bool = False) -> None:
+        """Enter *cell*'s pins into the reader index (if built).
+
+        A *new* cell sits last in its dict, so it gets the next rank.
+        """
+        readers = self._readers_cache
+        if readers is None:
+            return
+        if new and self._rank is not None:
+            self._rank[cell.name] = self._next_rank
+            self._next_rank += 1
+        pins = cell.inputs if kind == "gate" else _register_pins(cell)
+        key = self._reader_key
+        for i, net in enumerate(pins):
+            if net is not None:
+                entry = (kind, cell.name, i)
+                entries = readers.get(net, []).copy()
+                entries.insert(bisect_right(entries, key(entry), key=key), entry)
+                readers[net] = entries
+
+    def _unlink(self, kind: str, cell: Gate | Register) -> None:
+        """Drop *cell*'s pins from the reader index (if built)."""
+        readers = self._readers_cache
+        if readers is None:
+            return
+        pins = cell.inputs if kind == "gate" else _register_pins(cell)
+        key = self._reader_key
+        for i, net in enumerate(pins):
+            if net is None:
+                continue
+            entries = readers[net].copy()
+            del entries[bisect_left(entries, key((kind, cell.name, i)), key=key)]
+            if entries:
+                readers[net] = entries
+            else:
+                del readers[net]
 
     def nets(self) -> set[str]:
         """Every net mentioned anywhere in the circuit."""
@@ -323,6 +412,7 @@ class Circuit:
 
     def _invalidate(self) -> None:
         self._readers_cache = None
+        self._rank = None
 
     def clone(self, name: str | None = None) -> "Circuit":
         """Deep copy of the circuit (independent cells and indexes)."""
@@ -382,3 +472,11 @@ class Circuit:
         for reg in self.registers.values():
             self._driver[reg.q] = ("register", reg.name)
         self._invalidate()
+
+
+#: register pin index (as in :meth:`Circuit.readers`) -> attribute
+_REGISTER_PINS = ("d", "clk", "en", "sr", "ar")
+
+
+def _register_pins(reg: Register) -> tuple[str | None, ...]:
+    return (reg.d, reg.clk, reg.en, reg.sr, reg.ar)

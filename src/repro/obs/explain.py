@@ -407,45 +407,52 @@ def area_attribution(
     phi: float,
     bounds: dict[str, tuple[int, int]] | None,
     expected_r: dict[str, int] | None = None,
+    capture: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Min-area attribution from the min-cost-flow dual.
 
-    Re-runs the (deterministic) dict-engine lazy LP at *phi* capturing
-    the final flow network, then reads off: per-vertex cost coefficients
-    and their objective contributions, the flow-carrying (binding)
-    constraints with their tags, mirror/separation charges, and the
-    strong-duality identity ``registers == constant + Σc·r ==
-    constant − Σb·flow`` which the validator re-checks arithmetically.
-    ``reproduced`` records that the re-run's solution matches the
-    engine's (bit-identity between the capture and the served result).
+    Reads the final lazy round's flow network from *capture*, as the
+    kernel min-area solve left it (:func:`repro.kernels.min_area_kernel`;
+    without one, :func:`repro.kernels.minarea.min_area_flow` solves for
+    it), then reads off: per-vertex cost coefficients and their
+    objective contributions, the flow-carrying (binding) constraints
+    with their tags, mirror/separation charges, and the strong-duality
+    identity ``registers == constant + Σc·r == constant − Σb·flow``
+    which the validator re-checks arithmetically.  ``reproduced``
+    records that the captured solution matches the engine's
+    (bit-identity between the capture and the served result).
     """
-    from ..retime.minarea import _lazy_lp_rounds
-    from ..retime.minperiod import base_system
     from ..retime.sharing_model import build_sharing_model, shared_register_count
 
     model = build_sharing_model(work_graph)
-    system = base_system(model.graph, bounds)
-    capture: dict[str, Any] = {}
-    best, rounds = _lazy_lp_rounds(
-        work_graph, model.graph, system, model, phi, capture=capture
-    )
-    flow = capture["flow"]
-    full_r = capture["full_r"]
-    real_r = {v: best.get(v, 0) for v in work_graph.vertices}
-    registers = shared_register_count(work_graph, real_r)
-    tags = {(c.u, c.v): c.tag for c in system}
-    binding = [
-        {
-            "u": a.u,
-            "v": a.v,
-            "bound": a.cost,
-            "flow": a.flow,
-            "tag": tags.get((a.u, a.v), ""),
-        }
-        for a in flow.arcs()
-        if a.flow
-    ]
-    dual_sum = sum(a.flow * a.cost for a in flow.arcs())
+    if capture is None:
+        from ..kernels.minarea import min_area_flow
+
+        capture = min_area_flow(work_graph, phi, bounds, model)
+    flow, csys, base_tags = capture["flow"], capture["csys"], capture["base_tags"]
+    names = csys.names
+    full_r = dict(zip(names, capture["r"]))
+    real_r = {v: full_r.get(v, 0) for v in work_graph.vertices}
+    binding = []
+    dual_sum = 0
+    for slot, bound in enumerate(csys.arc_b):
+        amount = flow.flow(2 * slot)
+        if not amount:
+            continue
+        key = (names[csys.arc_u[slot]], names[csys.arc_v[slot]])
+        # pairs the lazy rounds added or tightened are period
+        # constraints, as in the dict system's tag bookkeeping
+        tag, base_bound = base_tags.get(key, ("period", None))
+        binding.append(
+            {
+                "u": key[0],
+                "v": key[1],
+                "bound": bound,
+                "flow": amount,
+                "tag": tag if bound == base_bound else "period",
+            }
+        )
+        dual_sum += amount * bound
     primal_sum = sum(c * full_r.get(v, 0) for v, c in model.cost.items())
     contributions = {
         v: {"cost": c, "r": full_r.get(v, 0), "term": c * full_r.get(v, 0)}
@@ -462,7 +469,7 @@ def area_attribution(
     return {
         "kind": "area_lp_duality",
         "phi": phi,
-        "registers": registers,
+        "registers": shared_register_count(work_graph, real_r),
         "registers_before": shared_register_count(work_graph),
         "constant": model.constant,
         "primal": model.constant + primal_sum,
@@ -472,7 +479,7 @@ def area_attribution(
         "binding": binding,
         "contributions": contributions,
         "charges": charges,
-        "rounds": rounds,
+        "rounds": capture["rounds"],
         "reproduced": expected_r is None or real_r == expected_r,
     }
 
@@ -492,6 +499,7 @@ def build_explanation(
     objective: str,
     target_period: float | None = None,
     design: str = "",
+    area_capture: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Assemble the full explanation for a solved retiming.
 
@@ -499,7 +507,8 @@ def build_explanation(
     ``explain=True`` — every section is extracted from the already-
     solved state (plus deterministic re-solves on the exceptional
     explain path), never from instrumentation inside the hot loops.
-    The result is JSON-ready and self-validating: ``checks`` /
+    *area_capture* is the final min-area flow the solve left
+    (:func:`area_attribution`).  The result is JSON-ready and self-validating: ``checks`` /
     ``valid`` record the outcome of :func:`validate_explanation` run at
     build time.
     """
@@ -513,7 +522,9 @@ def build_explanation(
         work_graph, bounds_result, transform, work_bounds, r
     )
     area = (
-        area_attribution(work_graph, phi, work_bounds, expected_r=r)
+        area_attribution(
+            work_graph, phi, work_bounds, expected_r=r, capture=area_capture
+        )
         if objective == "minarea"
         else None
     )

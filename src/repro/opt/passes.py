@@ -33,18 +33,19 @@ def propagate_constants(circuit: Circuit) -> int:
         if gate.name not in circuit.gates:
             continue
         table = gate.truth_table()
-        n = gate.n_inputs
+        inputs = list(gate.inputs)
         # cofactor constant pins out of the table, highest pin first so
         # lower pin indexes stay valid
-        for pin in range(n - 1, -1, -1):
-            net = gate.inputs[pin]
+        for pin in range(len(inputs) - 1, -1, -1):
+            net = inputs[pin]
             if not is_const(net):
                 continue
             value = 1 if net == const_net(1) else 0
-            table = _cofactor(table, len(gate.inputs), pin, value)
-            gate.inputs.pop(pin)
+            table = _cofactor(table, len(inputs), pin, value)
+            inputs.pop(pin)
             changes += 1
-        if len(gate.inputs) != n:
+        if len(inputs) != gate.n_inputs:
+            circuit.set_gate_inputs(gate, inputs)
             gate.fn = GateFn.LUT
             gate.table = table
         const = gate.is_constant()
@@ -88,7 +89,7 @@ def collapse_buffers(circuit: Circuit) -> int:
             folded = ((g >> (h & 1)) & 1) | (((g >> ((h >> 1) & 1)) & 1) << 1)
             gate.fn = GateFn.LUT
             gate.table = folded
-            gate.inputs[0] = driver.inputs[0]
+            circuit.set_gate_inputs(gate, driver.inputs)
             changes += 1
             driver = circuit.driver_gate(gate.inputs[0])
     for gate in list(circuit.gates.values()):
@@ -115,8 +116,8 @@ def _bypass_closes_register_ring(
 ) -> bool:
     """Would rewiring readers of *out* to *source* create a cycle of
     registers with no combinational cell on it?"""
-    reg_by_q = {r.q: r for r in circuit.registers.values()}
-    if source not in reg_by_q:
+    reg = circuit.driver_register(source)
+    if reg is None:
         return False
     victims = [
         circuit.registers[name]
@@ -128,10 +129,9 @@ def _bypass_closes_register_ring(
     # walk the register-only chain upstream of `source`; if it reaches a
     # victim register, the bypass closes a pure ring
     seen: set[str] = set()
-    reg = reg_by_q[source]
     while reg is not None and reg.name not in seen:
         seen.add(reg.name)
-        reg = reg_by_q.get(reg.d)
+        reg = circuit.driver_register(reg.d)
     victim_names = {r.name for r in victims}
     return bool(victim_names & seen)
 
@@ -195,7 +195,12 @@ def sweep_dead(circuit: Circuit) -> int:
 
 
 def optimize(circuit: Circuit, max_rounds: int = 20) -> int:
-    """Run all passes to a fixed point; returns total changes."""
+    """Run all passes to a fixed point; returns total changes.
+
+    The reader index the passes kept patched is dropped at the end (the
+    next query rebuilds it), so the optimised circuit does not carry it
+    through mapping.
+    """
     total = 0
     for _ in range(max_rounds):
         round_changes = (
@@ -207,4 +212,5 @@ def optimize(circuit: Circuit, max_rounds: int = 20) -> int:
         total += round_changes
         if not round_changes:
             break
+    circuit._invalidate()
     return total

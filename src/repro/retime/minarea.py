@@ -52,17 +52,9 @@ class AreaResult:
 
 
 def _solve_lp(
-    system: DifferenceSystem,
-    model: SharingModel,
-    capture: dict | None = None,
+    system: DifferenceSystem, model: SharingModel
 ) -> dict[str, int] | None:
-    """One LP solve: min Σ c·r subject to *system*; None if infeasible.
-
-    When *capture* is given, the solved flow network and the full
-    (mirror-inclusive) solution are left in it under ``"flow"`` /
-    ``"full_r"`` — the raw material min-area dual attribution
-    (:mod:`repro.obs.explain`) reads its certificates from.
-    """
+    """One LP solve: min Σ c·r subject to *system*; None if infeasible."""
     r0 = system.solve()
     if r0 is None:
         return None
@@ -83,11 +75,7 @@ def _solve_lp(
     potentials = flow.potentials()
     r = {v: -int(round(p)) for v, p in potentials.items()}
     shift = r.get(HOST, 0)
-    solution = {v: val - shift for v, val in r.items()}
-    if capture is not None:
-        capture["flow"] = flow
-        capture["full_r"] = solution
-    return solution
+    return {v: val - shift for v, val in r.items()}
 
 
 def min_area(
@@ -96,11 +84,14 @@ def min_area(
     bounds: dict[str, tuple[int, int]] | None = None,
     model: SharingModel | None = None,
     use_kernels: bool | None = None,
+    capture: dict | None = None,
 ) -> AreaResult:
     """Minimum-area retiming achieving clock period ≤ *phi*.
 
     Raises :class:`InfeasibleError` if *phi* is not feasible for the
-    graph under the given bounds.
+    graph under the given bounds.  *capture* is handed to
+    :func:`repro.kernels.min_area_kernel`, which leaves the final flow
+    in it; the dict engine leaves it empty.
     """
     from .. import kernels
 
@@ -108,7 +99,7 @@ def min_area(
         model = build_sharing_model(graph)
     if not kernels.resolve(use_kernels):
         return _min_area_dict(graph, phi, bounds, model)
-    result = kernels.min_area_kernel(graph, phi, bounds, model)
+    result = kernels.min_area_kernel(graph, phi, bounds, model, capture)
     if kernels.kernel_check_enabled():
         oracle = _min_area_dict(graph, phi, bounds, model)
         kernels.expect_equal("min_area.r", result.r, oracle.r)
@@ -157,16 +148,11 @@ def _lazy_lp_rounds(
     system: DifferenceSystem,
     model: SharingModel,
     phi: float,
-    capture: dict | None = None,
 ) -> tuple[dict[str, int], int]:
-    """The lazy LP loop; returns (solution, rounds used).
-
-    *capture* is forwarded to :func:`_solve_lp` so a caller can inspect
-    the final round's flow network (min-area dual attribution).
-    """
+    """The lazy LP loop; returns (solution, rounds used)."""
     best: dict[str, int] | None = None
     for rounds in range(1, MAX_LAZY_ROUNDS + 1):
-        r = _solve_lp(system, model, capture=capture)
+        r = _solve_lp(system, model)
         if r is None:
             raise InfeasibleConstraints(
                 f"period {phi} infeasible for {graph.name!r}",

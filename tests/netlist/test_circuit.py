@@ -128,6 +128,76 @@ class TestSurgery:
         check_circuit(c)
 
 
+class TestReaderIndex:
+    """The reader index is patched in place, never rebuilt, once built;
+    it must always equal the index a fresh rebuild (a clone) gives."""
+
+    @staticmethod
+    def assert_fresh(c: Circuit) -> None:
+        fresh = c.clone()
+        for net in c.nets():
+            assert c.readers(net) == fresh.readers(net), net
+
+    def test_replace_net_merges_in_rebuild_order(self):
+        c = small_circuit()
+        c.add_register(d="a", q="q2", clk="clk", en="n1", name="r2")
+        c.add_output("n1")
+        c.readers("a")  # build the index before the edits
+        assert c.replace_net("n1", "a") == 3  # g2 pin, r2 EN, output
+        assert c.readers("a") == [
+            ("gate", "g1", 0),
+            ("gate", "g2", 0),
+            ("gate", "g3", 1),
+            ("register", "r2", 0),
+            ("register", "r2", 2),
+            ("output", "a", 1),
+        ]
+        assert c.readers("n1") == []
+        assert c.outputs == ["y", "a"]
+        self.assert_fresh(c)
+
+    def test_pin_setters_keep_the_index(self):
+        c = small_circuit()
+        c.readers("a")
+        c.set_gate_inputs(c.gates["g1"], ["b", "a"])
+        c.set_register_pins(c.registers["r1"], d="a", en="b")
+        assert c.readers("a")[:2] == [("gate", "g1", 1), ("gate", "g3", 1)]
+        assert ("register", "r1", 2) in c.readers("b")
+        self.assert_fresh(c)
+        with pytest.raises(ValueError):
+            c.set_register_pins(c.registers["r1"], q="a")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_edits_match_a_rebuild(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        c = small_circuit()
+        c.readers("a")
+        for step in range(30):
+            nets = sorted(n for n in c.nets() if c.driver(n) is not None)
+            op = rng.randrange(6)
+            if op == 0:
+                ins = rng.sample(nets, rng.randint(1, 2))
+                fn = GateFn.AND if len(ins) == 2 else GateFn.NOT
+                c.add_gate(fn, ins, name=f"x{step}")
+            elif op == 1:
+                c.add_register(d=rng.choice(nets), clk="clk", en=rng.choice(
+                    [None, rng.choice(nets)]), name=f"s{step}")
+            elif op == 2 and c.gates:
+                c.remove_gate(rng.choice(sorted(c.gates)))
+            elif op == 3 and c.registers:
+                c.remove_register(rng.choice(sorted(c.registers)))
+            elif op == 4:
+                c.replace_net(rng.choice(nets), rng.choice(nets))
+            elif op == 5 and c.gates:
+                gate = c.gates[rng.choice(sorted(c.gates))]
+                c.set_gate_inputs(gate, rng.choices(nets, k=gate.n_inputs))
+            if rng.random() < 0.2:
+                c.add_output(rng.choice(nets))
+            self.assert_fresh(c)
+
+
 class TestTopoOrder:
     def test_respects_dependencies(self):
         c = small_circuit()

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import kernels
+from repro import kernels, obs
 from repro.graph.build import build_mcgraph
 from repro.mcretime import mc_retime
 from repro.mcretime.bounds import compute_bounds
@@ -93,6 +93,26 @@ def test_explain_off_pays_nothing():
     result = mc_retime(small_circuit())
     assert result.explanation is None
     assert "explain" not in result.timings
+
+
+def test_explain_reads_the_solved_flow():
+    """why-area reads the flow mc_retime solved: an explained run does
+    the same min-area work as a plain one."""
+
+    def work(explain):
+        obs.start()
+        try:
+            mc_retime(small_circuit(), explain=explain, use_kernels=True)
+        finally:
+            tracer = obs.stop()
+        counters = tracer.snapshot()["counters"]
+        solves = tracer.span_counts().get("minarea.solve")
+        keys = ("minarea.rounds", "mcf.augmentations", "mcf.cost")
+        return solves, {k: counters.get(k) for k in keys}
+
+    plain = work(False)
+    assert plain[0] == 1 and plain[1]["mcf.augmentations"]
+    assert work(True) == plain
 
 
 def test_witness_revalidates_against_independent_graph():
